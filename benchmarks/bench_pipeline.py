@@ -8,10 +8,11 @@ probes that load the cached result).  CI uploads the file as an artifact
 so the perf trajectory of the engine is recorded per commit.
 
 When numpy is importable the run is measured under **both** signature
-kernels (``REPRO_KERNEL=python`` and ``=array``): the report carries a
-``kernels`` section with per-kernel wall time and the array/python
-speedup, and asserts the two result digests are byte-identical — the
-benchmark doubles as the differential check on the design it times.
+kernels, each pinned through ``AnalysisContext(kernel=...)``: the report
+carries a ``kernels`` section with per-kernel wall time and the
+array/python speedup, and asserts the two result digests are
+byte-identical — the benchmark doubles as the differential check on the
+design it times.
 
 Usage::
 
@@ -26,25 +27,30 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import platform
 import tempfile
 import time
 
 from repro.core import kernels as _kernels
+from repro.core.context import AnalysisContext
 from repro.core.pipeline import PipelineConfig, identify_words
 from repro.store import ArtifactStore, result_digest
 from repro.synth.designs import BENCHMARKS
 
 
-def _timed_runs(netlist, config: PipelineConfig, repeats: int):
-    """(best_seconds, all_seconds, best_result) over ``repeats`` runs."""
+def _timed_runs(netlist, config: PipelineConfig, repeats: int, kernel=None):
+    """(best_seconds, all_seconds, best_result) over ``repeats`` runs.
+
+    ``kernel`` pins the signature kernel of each run's fresh context
+    (``None``: the platform default, exactly what every user run gets).
+    """
     best = None
     best_result = None
     times = []
     for _ in range(repeats):
         start = time.perf_counter()
-        result = identify_words(netlist, config)
+        context = AnalysisContext(netlist, config.depth, kernel=kernel)
+        result = identify_words(netlist, config, context=context)
         elapsed = time.perf_counter() - start
         times.append(elapsed)
         if best is None or elapsed < best:
@@ -56,24 +62,17 @@ def _timed_runs(netlist, config: PipelineConfig, repeats: int):
 def _bench_kernels(netlist, config: PipelineConfig, repeats: int) -> dict:
     """Per-kernel wall time plus the differential digest check.
 
-    Forces each kernel via ``REPRO_KERNEL`` (restoring the caller's
-    setting afterwards) and refuses to report a speedup for results that
-    are not byte-identical.
+    Pins each kernel on the run's context and refuses to report a
+    speedup for results that are not byte-identical.
     """
-    previous = os.environ.get(_kernels.KERNEL_ENV)
     walls = {}
     digests = {}
-    try:
-        for kernel in ("python", "array"):
-            os.environ[_kernels.KERNEL_ENV] = kernel
-            best, _, result = _timed_runs(netlist, config, repeats)
-            walls[kernel] = best
-            digests[kernel] = result_digest(result)
-    finally:
-        if previous is None:
-            os.environ.pop(_kernels.KERNEL_ENV, None)
-        else:
-            os.environ[_kernels.KERNEL_ENV] = previous
+    for kernel in ("python", "array"):
+        best, _, result = _timed_runs(netlist, config, repeats, kernel)
+        if result.trace.kernel != kernel:
+            raise AssertionError(f"kernel={kernel!r} ran {result.trace.kernel}")
+        walls[kernel] = best
+        digests[kernel] = result_digest(result)
     if digests["array"] != digests["python"]:
         raise AssertionError(
             "array kernel digest diverged from the python reference"

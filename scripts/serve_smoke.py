@@ -13,10 +13,11 @@ guarantees DESIGN.md §11 makes:
 3. **Graceful drain** — both servers exit 0 on SIGTERM.
 
 With ``--bench OUT.json`` it additionally runs a sustained load
-benchmark: concurrent clients posting unique (cache-missing) designs
-against ``--workers 1/2/4`` servers for a fixed window each, reporting
-p50/p90/p99 latency and req/s per sweep into a schema-stamped
-``BENCH_serve.json`` (shape: :mod:`repro.serve.bench`).
+benchmark: concurrent clients posting distinct seeded
+:mod:`repro.fuzz.generator` designs (every one a store miss, checked on
+each response) against ``--workers 1/2/4`` servers for a fixed window
+each, reporting p50/p90/p99 latency and req/s per sweep into a
+schema-stamped ``BENCH_serve.json`` (shape: :mod:`repro.serve.bench`).
 
 Usage::
 
@@ -39,6 +40,12 @@ REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(REPO, "src"))
 
 from repro.batch import itc99_corpus  # noqa: E402
+from repro.fuzz.generator import (  # noqa: E402
+    GeneratorConfig,
+    generate,
+    sample_seed,
+)
+from repro.netlist.verilog import write_verilog  # noqa: E402
 from repro.serve.bench import build_report  # noqa: E402
 from repro.serve.client import ServeClient  # noqa: E402
 
@@ -170,30 +177,56 @@ def check_load_shedding(scratch):
           f"shedding server drained cleanly")
 
 
-def _bench_sweep(client, base_text, tag, duration_s, concurrency):
-    """Hammer one server with unique (cache-missing) designs.
+#: Words per generated bench design (the generator's default draws 3-7;
+#: a fixed count keeps every request about the same size).
+BENCH_WORDS = 5
+#: Seeded generator campaign the bench designs come from.
+BENCH_SEED = 0
 
-    Each request appends a never-repeated comment line, so its byte
-    digest — and therefore its store key — is fresh: every request pays
-    for a real analysis, which is what worker scaling acts on.
+
+def bench_designs(count):
+    """``count`` distinct Verilog texts of seeded generated designs.
+
+    Distinct *structures*, not just distinct bytes: a body that differs
+    only in a comment parses to a netlist the store already holds, so
+    it would measure a hit.  Generated up front so generation time stays
+    out of the sweep.
+    """
+    config = GeneratorConfig(min_words=BENCH_WORDS, max_words=BENCH_WORDS)
+    return [
+        write_verilog(generate(sample_seed(BENCH_SEED, index), config).netlist)
+        for index in range(count)
+    ]
+
+
+def _bench_sweep(client, texts, duration_s, concurrency):
+    """Hammer one server with ``texts``, each posted once (all misses).
+
+    A sweep ends at ``duration_s`` or when ``texts`` runs out.  A 200
+    whose ``cache`` is not ``"miss"`` counts as an error: the sweep
+    exists to measure real analyses, which is what worker scaling acts
+    on.
     """
     stop_at = time.monotonic() + duration_s
     latencies, errors = [], []
     lock = threading.Lock()
+    pending = iter(texts)
 
     def worker(slot):
-        n = 0
         while time.monotonic() < stop_at:
-            n += 1
-            text = f"{base_text}\n// bench {tag} client {slot} request {n}\n"
-            started = time.perf_counter()
-            status, _ = client.identify(verilog=text)
-            elapsed = time.perf_counter() - started
             with lock:
-                if status == 200:
+                text = next(pending, None)
+            if text is None:
+                return
+            started = time.perf_counter()
+            status, body = client.identify(verilog=text)
+            elapsed = time.perf_counter() - started
+            cache = body.get("cache") if isinstance(body, dict) else None
+            with lock:
+                if status == 200 and cache == "miss":
                     latencies.append(elapsed)
                 elif status != 429:  # shedding is back-pressure, not failure
-                    errors.append(status)
+                    errors.append((status, cache))
 
     started = time.monotonic()
     threads = [
@@ -204,16 +237,17 @@ def _bench_sweep(client, base_text, tag, duration_s, concurrency):
         thread.start()
     for thread in threads:
         thread.join()
-    return latencies, len(errors), time.monotonic() - started
+    return latencies, errors, time.monotonic() - started
 
 
-def check_sustained_load(scratch, output, duration_s, design="b13",
+def check_sustained_load(scratch, output, duration_s,
                          workers_sweep=(1, 2, 4), concurrency=6):
-    corpus_dir = os.path.join(scratch, "corpus")
-    designs = itc99_corpus(corpus_dir)
-    path = next(p for p in designs if p.endswith(f"{design}.v"))
-    with open(path, encoding="utf-8") as handle:
-        base_text = handle.read()
+    # About 1.7x what a 2-CPU host answers inside the window (a sweep
+    # that runs out ends early, its req/s still honest); each server
+    # gets a fresh store, so sweeps reuse the list.  The extra design is
+    # the warm-up request.
+    warmup, *texts = bench_designs(1 + max(200, int(120 * duration_s)))
+    design = f"fuzz(seed={BENCH_SEED}, words={BENCH_WORDS})"
 
     sweeps = []
     pool = None
@@ -228,18 +262,21 @@ def check_sustained_load(scratch, output, duration_s, design="b13",
                 else "thread"
         try:
             # One warm-up request absorbs worker start-up cost.
-            client.identify(verilog=base_text + f"\n// warmup w{workers}\n")
+            client.identify(verilog=warmup)
             latencies, errors, elapsed = _bench_sweep(
-                client, base_text, f"w{workers}", duration_s, concurrency
+                client, texts, duration_s, concurrency
             )
         finally:
             drain(process)
         assert latencies, f"no successful requests at workers={workers}"
-        assert errors == 0, f"{errors} non-429 failures at workers={workers}"
+        assert not errors, (
+            f"{len(errors)} failed or non-miss answers at workers={workers}: "
+            f"(status, cache) {errors[:5]}"
+        )
         sweeps.append({
             "workers": workers,
             "latencies_s": latencies,
-            "errors": errors,
+            "errors": len(errors),
             "elapsed_s": elapsed,
         })
         print(f"[bench] workers={workers}: {len(latencies)} requests in "

@@ -280,9 +280,9 @@ class Session:
     ):
         if config is None:
             config = baseline_config() if baseline else PipelineConfig()
-        elif baseline and config.allow_partial:
+        elif baseline and config.backend != "base":
             raise ValueError(
-                "baseline=True requires allow_partial=False; "
+                "baseline=True requires backend='base'; "
                 "use baseline_config() or drop the flag"
             )
         self.config = config

@@ -6,7 +6,6 @@ This is the tool a downstream user actually runs::
     repro-identify design.bench --format bench   # ISCAS .bench
     repro-identify design.v --baseline           # shape hashing only
     repro-identify design.v --backend regfeat    # feature-vector backend
-    repro-identify design.v --kernel python      # force a signature kernel
     repro-identify design.v --json report.json   # machine-readable output
     repro-identify design.v --depth 5 --max-simultaneous 3
     repro-identify design.v --jobs 4             # parallel subgroup search
@@ -88,14 +87,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="run shape hashing [6] instead of the control-signal "
         "technique (alias for --backend base)",
-    )
-    parser.add_argument(
-        "--kernel",
-        default=None,
-        metavar="NAME",
-        help="signature kernel: python, array, or auto (default: the "
-        "REPRO_KERNEL environment, then auto); output is byte-identical "
-        "for any choice",
     )
     parser.add_argument(
         "--propagate",
@@ -292,9 +283,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         config = PipelineConfig(
             depth=args.depth,
             max_simultaneous=args.max_simultaneous,
-            allow_partial=backend != "base",
             backend=backend,
-            kernel=args.kernel,
             jobs=args.jobs,
             deadline_s=args.deadline,
             max_assignments=args.budget,

@@ -13,9 +13,8 @@ the CLIs, and ``repro serve`` resolve by name:
 
 ``base``
     The shape-hashing comparison point [6]: the same staged engine with
-    partial matching disabled (``allow_partial=False`` — the two
-    spellings are normalized onto each other by
-    :class:`~repro.core.pipeline.PipelineConfig`).
+    partial matching disabled (``PipelineConfig.allow_partial`` reads
+    ``False`` exactly when ``backend="base"``).
 
 ``regfeat``
     A feature-vector register aggregator in the RELIC /

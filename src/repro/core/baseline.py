@@ -34,7 +34,6 @@ def baseline_config(
     """
     return PipelineConfig(
         depth=depth,
-        allow_partial=False,
         grouping=grouping,
         jobs=jobs,
         backend="base",
@@ -49,14 +48,14 @@ def shape_hashing(
     """Identify words by full structural matching only (the Base column).
 
     ``store`` is forwarded to :func:`identify_words`; baseline results are
-    cached under their own keys because ``allow_partial`` is part of the
+    cached under their own keys because ``backend`` is part of the
     configuration fingerprint.
     """
     if config is None:
         config = baseline_config()
-    elif config.allow_partial:
+    elif config.backend != "base":
         raise ValueError(
-            "shape_hashing requires allow_partial=False; "
+            "shape_hashing requires backend='base'; "
             "use baseline_config() to build one"
         )
     return identify_words(netlist, config, store=store)

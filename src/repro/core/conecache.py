@@ -77,9 +77,10 @@ __all__ = [
 #: the fingerprint); ``accept_partial_heals`` changes the win condition.
 #: ``backend`` joins conservatively: only the staged backends reach the
 #: cone tier today (``regfeat`` performs no reduction search), and
-#: ``base``/``ours`` are already split by ``allow_partial``, but a future
-#: backend sharing the search must not silently alias entries computed
-#: under different win conditions.
+#: ``base``/``ours`` are already split by ``allow_partial`` (a read-only
+#: property derived from ``backend``, kept here so keys stay unchanged),
+#: but a future backend sharing the search must not silently alias
+#: entries computed under different win conditions.
 CONE_FINGERPRINT_FIELDS = (
     "depth",
     "max_simultaneous",
@@ -97,13 +98,9 @@ CONE_FINGERPRINT_FIELDS = (
 #: cached; ``max_cone_gates`` is checked before any probe or commit;
 #: ``preflight`` is diagnostics-only; a run with a ``fault_hook``
 #: disables cone caching entirely.
-#: ``kernel`` is neutral for the same reason ``jobs`` is: both kernels
-#: produce byte-identical outcomes (the differential kernel suite), so
-#: runs differing only in kernel share cone entries.
 CONE_NEUTRAL_FIELDS = (
     "grouping",
     "jobs",
-    "kernel",
     "deadline_s",
     "max_assignments",
     "max_cone_gates",

@@ -102,12 +102,11 @@ class AnalysisContext:
         # contract, interned strings) instead of dicts.
         self._level_keys: Dict[int, Mapping[str, str]] = {}
         # Array-kernel state (repro.core.kernels): resolved once per
-        # context so a mid-run env change cannot split a single analysis
-        # across kernels.  The ``kernel`` argument carries an explicit
-        # PipelineConfig.kernel preference (the engine passes it);
-        # sub-contexts inherit the parent's resolved kernel so one run
-        # never mixes kernels.  The CSR table and cone bitsets build
-        # lazily.
+        # context.  ``kernel=None`` is the platform default; an explicit
+        # name is the internal hook tests and benchmarks use to reach the
+        # python reference.  Sub-contexts inherit the parent's resolved
+        # kernel so one run never mixes kernels.  The CSR table and cone
+        # bitsets build lazily.
         if kernel is None and parent is not None:
             self.kernel = parent.kernel
         else:

@@ -19,20 +19,23 @@ integer rows and materializes each distinct string exactly once.  The
 interned strings are shared objects, which also turns the matching
 stage's string equality checks into pointer comparisons.
 
-Kernel selection: ``PipelineConfig.kernel`` (also ``--kernel`` on the
-CLIs and the ``"kernel"`` serve-request field) chooses ``python`` (the
-legacy reference), ``array``, or ``auto`` (``array`` when numpy imports,
-``python`` otherwise); when unset, the ``REPRO_KERNEL`` environment
-variable remains the default override with the same values (see
-:func:`resolve_kernel`).  Like ``jobs``, the kernel is output-neutral,
-so it deliberately does not participate in store fingerprints.  The
-legacy path stays fully alive as the differential reference
-(``tests/core/test_kernels.py``).
+Kernel selection is a platform fact, not a user setting: ``array``
+when numpy imports, ``python`` otherwise (numpy is not a runtime
+dependency).  Like ``jobs``, the kernel is output-neutral, so it does not
+participate in store fingerprints; ``StageTrace.kernel`` records which
+one ran.  The python path stays fully alive as the differential
+reference and the only path without numpy: tests, the ``kernel`` fuzz
+oracle and ``benchmarks/bench_pipeline.py`` reach it through the one
+internal hook, ``AnalysisContext(netlist, depth, kernel="python")``
+(``tests/core/test_kernels.py`` compares both on all 12 ITC99 designs).
+Both paths stay because the array kernel pays end to end: on the
+``table1`` workload (Base + Ours over all 12 ITC99 designs) a pass took
+8.2-8.7 s with it against 9.7-10.0 s with the python kernel alone (four
+alternating pairs, the array kernel faster in every pair).
 """
 
 from __future__ import annotations
 
-import os
 import threading
 import weakref
 from functools import partial
@@ -40,19 +43,16 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 try:  # numpy is optional: without it every context runs the python kernel
     import numpy as _np
-except ImportError:  # pragma: no cover - exercised via REPRO_KERNEL=python
+except ImportError:  # pragma: no cover - the python kernel runs instead
     _np = None
 
 from .hashkey import LEAF_TOKEN, fast_signature, fast_subtree
 
 __all__ = [
-    "KERNEL_ENV",
     "KERNELS",
-    "KernelError",
     "NetTable",
     "LevelKeyView",
     "ConeBitsets",
-    "active_kernel",
     "resolve_kernel",
     "numpy_available",
     "build_level_tables",
@@ -61,7 +61,6 @@ __all__ = [
     "decode_bitset_row",
 ]
 
-KERNEL_ENV = "REPRO_KERNEL"
 KERNELS = ("python", "array")
 
 # Reduction re-hash only pays for the vectorized dirty pass when the
@@ -70,57 +69,27 @@ KERNELS = ("python", "array")
 REHASH_MIN_NETS = 128
 
 
-class KernelError(RuntimeError):
-    """Raised for an unusable ``REPRO_KERNEL`` setting."""
-
-
 def numpy_available() -> bool:
     return _np is not None
 
 
-def active_kernel() -> str:
-    """The kernel the current environment selects: ``python`` or ``array``.
-
-    ``REPRO_KERNEL=array`` degrades to ``python`` when numpy is missing
-    (the switch gates a fast path, it must never make a run impossible);
-    an unrecognized value is an error rather than a silent fallback.
-    """
-    value = os.environ.get(KERNEL_ENV, "auto").strip().lower() or "auto"
-    if value == "auto":
-        return "array" if _np is not None else "python"
-    if value not in KERNELS:
-        raise KernelError(
-            f"unknown {KERNEL_ENV}={value!r}; expected python|array|auto"
-        )
-    if value == "array" and _np is None:
-        return "python"
-    return value
-
-
 def resolve_kernel(preference: Optional[str] = None) -> str:
-    """The kernel a run should use, honoring a configuration preference.
+    """The kernel a run uses: ``python`` or ``array``.
 
-    ``preference`` is :attr:`~repro.core.pipeline.PipelineConfig.kernel`:
-    ``None`` (the default) defers to the ``REPRO_KERNEL`` environment via
-    :func:`active_kernel` — env selection remains the default override —
-    while ``"auto"``/``"python"``/``"array"`` select explicitly, with the
-    same degradation rule (``array`` falls back to ``python`` when numpy
-    is missing) and the same :class:`KernelError` on unknown names.
-    Kernels are output-neutral, so the choice never enters a store
-    fingerprint.
+    ``None`` (every user-facing run) is the platform default: ``array``
+    when numpy imports, ``python`` otherwise.  An explicit name is the
+    internal :class:`~repro.core.context.AnalysisContext` hook that lets
+    tests and benchmarks reach the python reference; ``array`` still
+    falls back to ``python`` without numpy, and an unknown name raises
+    ``ValueError``.
     """
-    if preference is None:
-        return active_kernel()
-    value = str(preference).strip().lower()
-    if value == "auto":
+    if preference is None or preference == "array":
         return "array" if _np is not None else "python"
-    if value not in KERNELS:
-        raise KernelError(
-            f"unknown kernel {preference!r}; expected python|array|auto"
+    if preference != "python":
+        raise ValueError(
+            f"unknown kernel {preference!r}; expected one of {list(KERNELS)}"
         )
-    if value == "array" and _np is None:
-        return "python"
-    return value
+    return "python"
 
 
 class NetTable:

@@ -68,9 +68,6 @@ class PipelineConfig:
         Fanin-cone depth in gate levels (paper: 4).
     ``max_simultaneous``
         Largest number of control signals assigned at once (paper: 2).
-    ``allow_partial``
-        With ``False`` the pipeline degrades to the shape-hashing baseline
-        of [6]: full matches only, no control signals, no reduction.
     ``grouping``
         ``"adjacency"`` (Section 2.2, default) or ``"registers"`` (the
         netlist-order-independent variation).
@@ -91,15 +88,10 @@ class PipelineConfig:
         Which registered identification strategy runs
         (:mod:`repro.core.backends`): ``"ours"`` (default, the paper's
         technique), ``"base"`` (shape hashing [6]), or ``"regfeat"``
-        (feature-vector register aggregation).  ``backend="base"`` and
-        ``allow_partial=False`` are two spellings of the same strategy
-        and are normalized onto each other, so either spelling produces
-        identical results *and* identical store fingerprints.
-    ``kernel``
-        Signature-kernel preference (:mod:`repro.core.kernels`):
-        ``None`` (default) defers to the ``REPRO_KERNEL`` environment,
-        ``"auto"``/``"python"``/``"array"`` select explicitly.  Kernels
-        are output-neutral and never enter store fingerprints.
+        (feature-vector register aggregation).  ``"base"`` runs the
+        staged engine with partial matching off: full matches only, no
+        control signals, no reduction (read back as
+        :attr:`allow_partial`).
 
     Resilience knobs (see :mod:`repro.core.resilience` and DESIGN.md §8 —
     all default to "unlimited", in which case every budget check is a
@@ -132,13 +124,11 @@ class PipelineConfig:
 
     depth: int = 4
     max_simultaneous: int = 2
-    allow_partial: bool = True
     grouping: str = "adjacency"
     max_control_signals: int = 8
     accept_partial_heals: bool = False
     jobs: int = 1
     backend: str = "ours"
-    kernel: Optional[str] = None
     deadline_s: Optional[float] = None
     max_assignments: Optional[int] = None
     max_cone_gates: Optional[int] = None
@@ -160,27 +150,22 @@ class PipelineConfig:
         from .backends import resolve
 
         resolve(self.backend)  # raises UnknownBackendError (a ValueError)
-        # "base" and "ours without partial matching" are one strategy on
-        # one engine; normalizing the two spellings onto each other keeps
-        # results, trace provenance, and store fingerprints identical no
-        # matter which one a caller used.
-        if self.backend == "base":
-            object.__setattr__(self, "allow_partial", False)
-        elif self.backend == "ours" and not self.allow_partial:
-            object.__setattr__(self, "backend", "base")
-        if self.kernel is not None:
-            from .kernels import KernelError, resolve_kernel
-
-            try:
-                resolve_kernel(self.kernel)
-            except KernelError as exc:
-                raise ValueError(str(exc)) from None
         if self.deadline_s is not None and self.deadline_s <= 0:
             raise ValueError("deadline_s must be > 0")
         if self.max_assignments is not None and self.max_assignments < 0:
             raise ValueError("max_assignments must be >= 0")
         if self.max_cone_gates is not None and self.max_cone_gates < 1:
             raise ValueError("max_cone_gates must be >= 1")
+
+    @property
+    def allow_partial(self) -> bool:
+        """Whether partial matching runs: ``False`` exactly for Base.
+
+        Derived from :attr:`backend` (Base's one spelling is
+        ``backend="base"``); the staged engine and the store and cone
+        fingerprints read it.
+        """
+        return self.backend != "base"
 
 
 def identify_words(

@@ -255,7 +255,7 @@ def run_regfeat(
     result = IdentificationResult()
     result.trace.backend = REGFEAT_NAME
     result.trace.jobs = config.jobs
-    result.trace.kernel = kernels.resolve_kernel(config.kernel)
+    result.trace.kernel = kernels.resolve_kernel()
 
     stage_started = perf_counter()
     features = _extract_features(netlist, config.depth)

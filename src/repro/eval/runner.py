@@ -107,7 +107,7 @@ def run_benchmark(
     """Evaluate Base and Ours on one netlist against its golden words.
 
     ``store`` — an optional :class:`repro.store.ArtifactStore`; Base and
-    Ours results are cached under their own keys (``allow_partial`` is in
+    Ours results are cached under their own keys (``backend`` is in
     the fingerprint), so a repeat sweep loads both from disk.
     """
     config = config or PipelineConfig()

@@ -66,13 +66,13 @@ provably must not care about, re-run, compare:
 
 from __future__ import annotations
 
-import os
 import random
 from dataclasses import dataclass
 from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from ..core import kernels as _kernels
 from ..core.baseline import baseline_config
+from ..core.context import AnalysisContext
 from ..core.pipeline import PipelineConfig, identify_words
 from ..core.reduction import reduce_netlist
 from ..core.words import IdentificationResult
@@ -364,8 +364,9 @@ def _check_jobs(ctx: OracleContext) -> Optional[str]:
 def _check_kernel(ctx: OracleContext) -> Optional[str]:
     """array kernel ≡ python reference on every campaign sample.
 
-    Runs the sample once under each ``REPRO_KERNEL`` setting and compares
-    the full result digest (words, singletons, assignments, counters) —
+    Compares the default run (the array kernel whenever numpy imports)
+    with a run whose context pins the python kernel, on the full result
+    digest (words, singletons, assignments, counters) —
     the same byte-identity contract ``tests/core/test_kernels.py`` pins
     on the ITC99 corpus, here exercised against adversarial generated
     designs.  Vacuously passes when numpy is absent (the array kernel is
@@ -375,25 +376,17 @@ def _check_kernel(ctx: OracleContext) -> Optional[str]:
 
     if not _kernels.numpy_available():
         return None
-    previous = os.environ.get(_kernels.KERNEL_ENV)
-    try:
-        os.environ[_kernels.KERNEL_ENV] = "array"
-        array = ctx.identify(
-            "kernel_array", ctx.sample.netlist, ctx.ours_config
-        )
-        os.environ[_kernels.KERNEL_ENV] = "python"
-        python = ctx.identify(
-            "kernel_python", ctx.sample.netlist, ctx.ours_config
-        )
-    finally:
-        if previous is None:
-            os.environ.pop(_kernels.KERNEL_ENV, None)
-        else:
-            os.environ[_kernels.KERNEL_ENV] = previous
+    array = ctx.ours
+    netlist, config = ctx.sample.netlist, ctx.ours_config
+    python = identify_words(
+        netlist,
+        config,
+        context=AnalysisContext(netlist, config.depth, kernel="python"),
+    )
     if array.trace.kernel != "array":
-        return "REPRO_KERNEL=array did not select the array kernel"
+        return "the default run did not select the array kernel"
     if python.trace.kernel != "python":
-        return "REPRO_KERNEL=python did not select the python kernel"
+        return "kernel='python' did not select the python kernel"
     if result_digest(array) != result_digest(python):
         return "array kernel result digest differs from python reference"
     if array.trace.counter_dict() != python.trace.counter_dict():

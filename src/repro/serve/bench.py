@@ -1,8 +1,10 @@
 """Sustained-load benchmark reporting for ``repro serve``.
 
 ``scripts/serve_smoke.py --bench`` drives live server subprocesses at
-several ``--workers`` settings and hands the raw per-request
-observations to :func:`build_report`, which folds them into the
+several ``--workers`` settings with distinct seeded generated designs
+(every request a store miss; a response that is not ``cache: "miss"``
+fails the sweep) and hands the raw per-request observations to
+:func:`build_report`, which folds them into the
 schema-stamped ``BENCH_serve.json`` payload CI archives next to
 ``BENCH_pipeline.json``.  The shape is pinned by
 ``tests/serve/test_bench.py``; anything added here must bump
@@ -56,7 +58,8 @@ def build_report(
 ) -> Dict:
     """The ``BENCH_serve.json`` payload from raw sweep observations.
 
-    Each sweep entry carries ``workers``, the list of per-request
+    ``design`` names the request mix (for the smoke bench, the
+    generator campaign the miss designs come from).  Each sweep entry carries ``workers``, the list of per-request
     ``latencies_s`` (successful requests only), an ``errors`` count, and
     the sweep's wall-clock ``elapsed_s``.  Sweeps are reported in the
     given order; the headline ``scaling`` field is the throughput ratio

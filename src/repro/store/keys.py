@@ -65,9 +65,11 @@ __all__ = [
 #: Adding a result-affecting knob to PipelineConfig must extend this tuple
 #: (tests/store/test_store.py pins the invalidation behaviour).
 #: ``backend`` selects which identification strategy runs, so it is here;
-#: ``kernel`` is deliberately absent — kernels are digest-blind (the
-#: differential kernel suite pins byte-identity), so a python-kernel run
-#: hits an entry an array-kernel run committed.
+#: ``allow_partial`` is a read-only property derived from ``backend``,
+#: kept so every key stays byte-identical (tests/store/test_store.py pins
+#: the fingerprint text).  The signature kernel is absent: kernels are
+#: digest-blind (the differential kernel suite pins byte-identity), so a
+#: python-kernel run hits an entry an array-kernel run committed.
 FINGERPRINT_FIELDS = (
     "depth",
     "max_simultaneous",

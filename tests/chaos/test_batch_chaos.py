@@ -43,6 +43,21 @@ def _fault_env(plan):
     return env
 
 
+def _kill_group(process):
+    """SIGKILL the whole process group ``process`` leads, then reap it.
+
+    The batch parent's pool workers share its group but not its parent:
+    once the parent dies they are re-parented, so killing the parent
+    alone would leave them running (one of them hung by the fault plan).
+    A group SIGKILL reaches every member at once and cannot be caught.
+    """
+    try:
+        os.killpg(process.pid, signal.SIGKILL)
+    except ProcessLookupError:
+        pass
+    process.wait(timeout=30)
+
+
 class TestWorkerCrashRecovery:
     def test_two_worker_crashes_still_complete_enough_rows(
         self, corpus, tmp_path
@@ -179,6 +194,7 @@ class TestJournalResumeAfterKill:
              "--store", store, "--journal", journal, "--quiet"],
             env=_fault_env(plan),
             stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+            start_new_session=True,
         )
         try:
             deadline = time.monotonic() + 120
@@ -191,8 +207,7 @@ class TestJournalResumeAfterKill:
             else:
                 pytest.fail("journal never saw the fast rows")
         finally:
-            process.send_signal(signal.SIGKILL)
-            process.wait(timeout=30)
+            _kill_group(process)
 
         completed_before = load_journal_entries(journal, key="path")
         assert len(completed_before) >= 2

@@ -3,9 +3,8 @@
 Pins the contracts DESIGN.md §15 promises:
 
 - the registry's contents, resolution errors, and re-registration rules;
-- ``PipelineConfig`` normalization — ``backend="base"`` and
-  ``allow_partial=False`` are two spellings of one strategy and must
-  produce identical configs *and* identical store fingerprints;
+- ``PipelineConfig`` spelling — ``backend="base"`` is Base's one
+  spelling; ``allow_partial`` is read-only and derived from it;
 - dispatch purity — resolving ``"ours"`` through the registry is
   byte-identical to running the staged engine directly;
 - fingerprint discipline — backend (name + version) is in the store
@@ -13,11 +12,11 @@ Pins the contracts DESIGN.md §15 promises:
   backends and shared across kernels;
 - the ``regfeat`` aggregator's output shape (valid partition over the
   candidate FF D nets, deterministic, provenance-stamped);
-- backend × kernel matrix parity for ``ours`` on ITC99 designs.
+- kernel parity for ``ours`` on ITC99 designs: the platform default
+  and both kernels pinned through the ``AnalysisContext`` hook.
 """
 
 import json
-import os
 
 import pytest
 
@@ -29,7 +28,8 @@ from repro.core.backends import (
     register,
     resolve,
 )
-from repro.core.kernels import KERNEL_ENV, numpy_available, resolve_kernel
+from repro.core.context import AnalysisContext
+from repro.core.kernels import numpy_available, resolve_kernel
 from repro.core.pipeline import PipelineConfig, identify_words
 from repro.core.stages import AnalysisEngine
 from repro.store import ArtifactStore, result_digest
@@ -108,29 +108,34 @@ class TestRegistry:
 
 class TestConfigNormalization:
     def test_base_and_allow_partial_false_are_one_config(self):
-        by_backend = PipelineConfig(backend="base")
-        by_flag = PipelineConfig(allow_partial=False)
-        assert by_backend == by_flag
-        assert by_backend.backend == "base"
-        assert by_flag.backend == "base"
-        assert not by_backend.allow_partial
-        assert config_fingerprint(by_backend) == config_fingerprint(by_flag)
+        """``allow_partial`` is derived from ``backend``, never set: Base
+        has exactly one spelling."""
+        with pytest.raises(TypeError):
+            PipelineConfig(allow_partial=False)
+        config = PipelineConfig(backend="base")
+        with pytest.raises(AttributeError):
+            config.allow_partial = True
+        assert not config.allow_partial
 
     def test_backend_base_forces_allow_partial_off(self):
-        config = PipelineConfig(backend="base", allow_partial=True)
-        assert not config.allow_partial
+        assert not PipelineConfig(backend="base").allow_partial
+        assert PipelineConfig(backend="ours").allow_partial
+        assert PipelineConfig(backend="regfeat").allow_partial
 
     def test_unknown_backend_raises_value_error(self):
         with pytest.raises(ValueError, match="registered backends"):
             PipelineConfig(backend="nope")
 
-    def test_unknown_kernel_raises_value_error(self):
+    def test_unknown_kernel_raises_value_error(self, netlist):
         with pytest.raises(ValueError, match="unknown kernel"):
-            PipelineConfig(kernel="cuda")
+            AnalysisContext(netlist, kernel="cuda")
 
-    def test_valid_kernels_accepted(self):
-        for kernel in (None, "python", "auto"):
-            assert PipelineConfig(kernel=kernel).kernel == kernel
+    def test_valid_kernels_accepted(self, netlist):
+        assert AnalysisContext(netlist).kernel == resolve_kernel(None)
+        assert AnalysisContext(netlist, kernel="python").kernel == "python"
+        assert AnalysisContext(netlist, kernel="array").kernel == (
+            "array" if numpy_available() else "python"
+        )
 
 
 class TestDispatchParity:
@@ -204,10 +209,14 @@ class TestFingerprintDiscipline:
         assert fields["backend"] == "ours"
         assert fields["backend_version"] == resolve("ours").version
 
-    def test_kernel_is_fingerprint_neutral(self):
-        explicit = config_fingerprint(PipelineConfig(kernel="python"))
-        default = config_fingerprint(PipelineConfig())
-        assert explicit == default
+    def test_kernel_is_fingerprint_neutral(self, netlist, tmp_path):
+        """A python-kernel run hits the entry a default run committed."""
+        store = ArtifactStore(str(tmp_path / "store"))
+        config = PipelineConfig()
+        identify_words(netlist, config, store=store)
+        context = AnalysisContext(netlist, config.depth, kernel="python")
+        cached = identify_words(netlist, config, context=context, store=store)
+        assert cached.trace.cache_provenance.get("provenance") == "hit"
 
     def test_store_keys_disjoint_across_backends(self, netlist, tmp_path):
         """One design, three backends, three distinct store entries."""
@@ -232,52 +241,34 @@ _MATRIX_DESIGNS = ("b03", "b04", "b13")
 
 
 class TestBackendKernelMatrix:
-    """``ours`` must be byte-identical across every kernel spelling."""
+    """``ours`` must be byte-identical under every kernel."""
 
     @pytest.mark.parametrize("design", _MATRIX_DESIGNS)
     def test_ours_parity_across_kernel_selection(self, design):
         if not numpy_available():
             pytest.skip("array kernel needs numpy")
         netlist = BENCHMARKS[design]()
-        digests = {}
-        previous = os.environ.get(KERNEL_ENV)
-        try:
-            # config-selected python / array (env cleared)
-            os.environ.pop(KERNEL_ENV, None)
-            for kernel in ("python", "array"):
-                result = identify_words(
-                    netlist, PipelineConfig(kernel=kernel)
-                )
-                assert result.trace.kernel == kernel
-                digests[f"config:{kernel}"] = result_digest(result)
-            # env-selected python / array (config silent)
-            for kernel in ("python", "array"):
-                os.environ[KERNEL_ENV] = kernel
-                result = identify_words(netlist, PipelineConfig())
-                assert result.trace.kernel == kernel
-                digests[f"env:{kernel}"] = result_digest(result)
-        finally:
-            if previous is None:
-                os.environ.pop(KERNEL_ENV, None)
-            else:
-                os.environ[KERNEL_ENV] = previous
+        config = PipelineConfig()
+        default = identify_words(netlist, config)
+        assert default.trace.kernel == "array"
+        digests = {"default": result_digest(default)}
+        for kernel in ("python", "array"):
+            context = AnalysisContext(netlist, config.depth, kernel=kernel)
+            result = identify_words(netlist, config, context=context)
+            assert result.trace.kernel == kernel
+            digests[kernel] = result_digest(result)
         assert len(set(digests.values())) == 1, digests
 
-    def test_config_kernel_beats_env(self):
+    def test_context_kernel_beats_platform_default(self):
         netlist = BENCHMARKS["b03"]()
-        previous = os.environ.get(KERNEL_ENV)
-        try:
-            os.environ[KERNEL_ENV] = "array" if numpy_available() else "python"
-            result = identify_words(netlist, PipelineConfig(kernel="python"))
-            assert result.trace.kernel == "python"
-        finally:
-            if previous is None:
-                os.environ.pop(KERNEL_ENV, None)
-            else:
-                os.environ[KERNEL_ENV] = previous
+        context = AnalysisContext(netlist, kernel="python")
+        result = identify_words(netlist, PipelineConfig(), context=context)
+        assert result.trace.kernel == "python"
 
     def test_resolve_kernel_contract(self):
         assert resolve_kernel("python") == "python"
-        assert resolve_kernel(None) in ("python", "array")
-        auto = resolve_kernel("auto")
-        assert auto == ("array" if numpy_available() else "python")
+        platform = "array" if numpy_available() else "python"
+        assert resolve_kernel(None) == platform
+        assert resolve_kernel("array") == platform
+        with pytest.raises(ValueError, match="unknown kernel"):
+            resolve_kernel("auto")

@@ -1,4 +1,4 @@
-"""Tests for the networkx bridge and the equivalence checker."""
+"""Tests for the equivalence checker."""
 
 import pytest
 from hypothesis import given, settings
@@ -7,11 +7,6 @@ from hypothesis import strategies as st
 from repro.netlist import (
     NetlistBuilder,
     check_equivalence,
-    cone_overlap,
-    fanout_histogram,
-    from_networkx,
-    logic_levels,
-    to_networkx,
 )
 from repro.synth import Module, Mux, optimize, synthesize, tech_map
 from repro.synth.rtl import Const
@@ -26,87 +21,6 @@ def sample_netlist():
     out = b.xor(n2, q)
     b.output(out, name="y")
     return b.build()
-
-
-class TestNetworkxBridge:
-    def test_round_trip_is_lossless(self):
-        nl = sample_netlist()
-        back = from_networkx(to_networkx(nl))
-        assert back.num_gates == nl.num_gates
-        assert back.primary_inputs == nl.primary_inputs
-        assert back.primary_outputs == nl.primary_outputs
-        for gate in nl.gates_in_file_order():
-            twin = back.gate(gate.name)
-            assert twin.cell.name == gate.cell.name
-            assert twin.inputs == gate.inputs
-
-    def test_round_trip_preserves_file_order(self):
-        nl = sample_netlist()
-        back = from_networkx(to_networkx(nl))
-        assert [g.name for g in back.gates_in_file_order()] == [
-            g.name for g in nl.gates_in_file_order()
-        ]
-
-    def test_edges_follow_signal_flow(self):
-        nl = sample_netlist()
-        graph = to_networkx(nl)
-        n1 = nl.driver("y").inputs[0]  # the xor output net... via buffer
-        assert graph.has_edge("a", next(iter(graph.successors("a"))))
-        # Every gate input is a predecessor of its output.
-        for gate in nl.gates_in_file_order():
-            for source in gate.inputs:
-                assert graph.has_edge(source, gate.output)
-
-    def test_mux_pin_order_survives(self):
-        nl = sample_netlist()
-        back = from_networkx(to_networkx(nl))
-        mux = next(g for g in back.gates() if g.cell.family == "mux")
-        original = next(g for g in nl.gates() if g.cell.family == "mux")
-        assert mux.inputs == original.inputs
-
-
-class TestAnalyses:
-    def test_logic_levels(self):
-        b = NetlistBuilder("t")
-        a = b.input("a")
-        n1 = b.inv(a)
-        n2 = b.inv(n1)
-        n3 = b.inv(n2)
-        nl = b.build()
-        levels = logic_levels(nl)
-        assert levels[a] == 0
-        assert levels[n1] == 1 and levels[n3] == 3
-
-    def test_levels_reset_at_registers(self):
-        b = NetlistBuilder("t")
-        a = b.input("a")
-        q = b.dff(b.inv(b.inv(a)), output="r_reg_0")
-        n = b.inv(q)
-        nl = b.build()
-        assert logic_levels(nl)[n] == 1
-
-    def test_fanout_histogram(self):
-        b = NetlistBuilder("t")
-        a, c = b.inputs("a", "c")
-        b.nand(a, c)
-        b.nor(a, c)
-        b.inv(a)
-        nl = b.build()
-        histogram = fanout_histogram(nl)
-        assert histogram[3] == 1  # net a feeds three gates
-        assert histogram[2] == 1  # net c feeds two
-
-    def test_cone_overlap_extremes(self):
-        b = NetlistBuilder("t")
-        a, c, d, e = b.inputs("a", "c", "d", "e")
-        shared = b.nand(a, c)
-        n1 = b.inv(shared)
-        n2 = b.buf(shared)
-        disjoint = b.nand(d, e)
-        nl = b.build()
-        assert cone_overlap(nl, n1, n2) == 1.0
-        assert cone_overlap(nl, n1, disjoint) == 0.0
-        assert 0.0 < cone_overlap(nl, n1, shared) < 1.0
 
 
 class TestEquivalence:

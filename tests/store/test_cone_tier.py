@@ -51,7 +51,9 @@ class TestFingerprintDiscipline:
         unclassified result-affecting field would let stale entries
         replay under configs they were never computed for."""
         declared = set(CONE_FINGERPRINT_FIELDS) | set(CONE_NEUTRAL_FIELDS)
-        actual = set(PipelineConfig.__dataclass_fields__)
+        # allow_partial is a read-only property derived from backend; it
+        # stays in the cone fingerprint so existing keys do not move.
+        actual = set(PipelineConfig.__dataclass_fields__) | {"allow_partial"}
         assert declared == actual, (
             "classify new PipelineConfig fields in "
             "repro.core.conecache.CONE_FINGERPRINT_FIELDS or "

@@ -61,12 +61,35 @@ class TestKeys:
         for variant in (
             PipelineConfig(depth=5),
             PipelineConfig(max_simultaneous=3),
-            PipelineConfig(allow_partial=False),
+            PipelineConfig(backend="base"),
             PipelineConfig(grouping="registers"),
             PipelineConfig(max_assignments=7),
             PipelineConfig(preflight=True),
         ):
             assert config_fingerprint(base) != config_fingerprint(variant)
+
+    def test_fingerprint_text_is_pinned(self):
+        """Store keys hash these exact strings: any change to them
+        silently orphans every entry already on disk."""
+        from repro.core.baseline import baseline_config
+
+        tail = (
+            '"depth":4,"grouping":"adjacency","max_assignments":null,'
+            '"max_cone_gates":null,"max_control_signals":8,'
+            '"max_simultaneous":2,"preflight":false}'
+        )
+        expected = {
+            "ours": '{"accept_partial_heals":false,"allow_partial":true,'
+                    '"backend":"ours","backend_version":"1.0.0",' + tail,
+            "base": '{"accept_partial_heals":false,"allow_partial":false,'
+                    '"backend":"base","backend_version":"1.0.0",' + tail,
+            "regfeat": '{"accept_partial_heals":false,"allow_partial":true,'
+                       '"backend":"regfeat","backend_version":"1.0.0",'
+                       + tail,
+        }
+        for backend, text in expected.items():
+            assert config_fingerprint(PipelineConfig(backend=backend)) == text
+        assert config_fingerprint(baseline_config()) == expected["base"]
 
     def test_kind_separates_namespaces(self):
         assert cache_key("d", "c", kind="result") != cache_key(

@@ -82,7 +82,7 @@ class TestAnalyze:
 
     def test_baseline_rejects_partial_config(self):
         with pytest.raises(ValueError):
-            Session(config=PipelineConfig(allow_partial=True), baseline=True)
+            Session(config=PipelineConfig(), baseline=True)
 
     def test_accepts_existing_store_instance(self, design_path, tmp_path):
         store = ArtifactStore(str(tmp_path / "s"))

@@ -136,16 +136,19 @@ class TestBackendFlag:
         assert "--baseline conflicts" in capsys.readouterr().err
 
     def test_unknown_kernel_exits_2(self, verilog_path, capsys):
-        assert main([verilog_path, "--kernel", "cuda"]) == 2
-        assert "unknown kernel" in capsys.readouterr().err
+        # The kernel is a platform fact, not an option.
+        with pytest.raises(SystemExit) as exited:
+            main([verilog_path, "--kernel", "python"])
+        assert exited.value.code == 2
+        assert "unrecognized arguments: --kernel" in capsys.readouterr().err
 
-    def test_kernel_flag_lands_in_report(self, verilog_path, capsys):
-        assert main(
-            [verilog_path, "--kernel", "python", "--json", "-"]
-        ) == 0
+    def test_kernel_lands_in_report(self, verilog_path, capsys):
+        from repro.core.kernels import resolve_kernel
+
+        assert main([verilog_path, "--json", "-"]) == 0
         out = capsys.readouterr().out
         report = json.loads(out[out.index("{"):])
-        assert report["config"]["kernel"] == "python"
+        assert report["config"]["kernel"] == resolve_kernel(None)
 
 
 class TestScore:
